@@ -20,6 +20,10 @@ Two halves:
   - ``index-scan`` (value predicates): B+ tree descent plus one page per
     matching posting.
 
+  Every strategy also pays the same CPU for residual predicates: one
+  reference-evaluator call per candidate of each residual vertex (see
+  :meth:`CostModel._residual_cpu`).
+
 The planner (engine) asks :meth:`CostModel.cheapest_strategy`; experiment
 E5 verifies the model picks the right side of the selectivity crossover.
 """
@@ -41,6 +45,9 @@ __all__ = ["CostModel", "CostEstimate"]
 _POSTING_BYTES = 12
 _PAGE_BYTES = 4096
 _STRUCTURE_BITS_PER_NODE = 2 + 8   # BP bits + tag/kind budget
+# CPU per candidate per residual predicate: a reference-evaluator call,
+# orders of magnitude above a tag test or a bisect probe.
+_RESIDUAL_CPU = 50.0
 
 
 @dataclass(frozen=True)
@@ -167,16 +174,26 @@ class CostModel:
     def _posting_pages(self, tag_count: float) -> float:
         return max(1.0, tag_count * _POSTING_BYTES / _PAGE_BYTES)
 
+    def _residual_cpu(self, pattern: PatternGraph) -> float:
+        """The per-candidate price of residual predicates: each one
+        re-enters the reference evaluator once for every candidate of
+        its vertex (the anchored root has one candidate and is free)."""
+        return sum(_RESIDUAL_CPU * len(vertex.residual)
+                   * self._vertex_posting_count(pattern, vertex_id)
+                   for vertex_id, vertex in pattern.vertices.items()
+                   if vertex.residual and vertex_id != pattern.root)
+
     def nok_cost(self, pattern: PatternGraph) -> CostEstimate:
         """One sequential scan of the structure segment; CPU per event."""
         return CostEstimate("nok", pages=self._structure_pages(),
-                            cpu=2.0 * self.stats.node_count)
+                            cpu=2.0 * self.stats.node_count
+                            + self._residual_cpu(pattern))
 
     def partitioned_cost(self, pattern: PatternGraph) -> CostEstimate:
         """One shared structure scan for all NoK partitions plus a merge
         join per cut (non-local) edge over the partial-result tuples."""
         cut_edges = pattern.non_local_edges()
-        cpu = 2.0 * self.stats.node_count
+        cpu = 2.0 * self.stats.node_count + self._residual_cpu(pattern)
         for edge in cut_edges:
             cpu += self.vertex_cardinality(pattern, edge.source)
             cpu += self.vertex_cardinality(pattern, edge.target)
@@ -187,8 +204,8 @@ class CostModel:
         """Posting fetch per vertex plus pairwise merges (intermediate
         lists can blow up on deep chains)."""
         pages = 0.0
-        cpu = 0.0
-        for vertex_id, vertex in pattern.vertices.items():
+        cpu = self._residual_cpu(pattern)
+        for vertex_id in pattern.vertices:
             if vertex_id == pattern.root:
                 continue
             count = self._vertex_posting_count(pattern, vertex_id)
@@ -203,7 +220,7 @@ class CostModel:
     def twigstack_cost(self, pattern: PatternGraph) -> CostEstimate:
         """Posting fetch per vertex; solution work linear in inputs."""
         pages = 0.0
-        cpu = 0.0
+        cpu = self._residual_cpu(pattern)
         for vertex_id in pattern.vertices:
             if vertex_id == pattern.root:
                 continue
@@ -215,27 +232,23 @@ class CostModel:
     def columnar_cost(self, pattern: PatternGraph):
         """Vectorized semi-joins over label columns: the same posting
         pages as the holistic joins, but the per-entry CPU constant is a
-        bisect/set probe instead of node-at-a-time dispatch.  A vertex
-        with residual predicates pays the reference evaluator once per
-        candidate in its window (the batch post-filter), which is
-        orders of magnitude above a bisect probe — the heavy per-entry
-        weight keeps ``auto`` mode from picking the columnar path when
-        a big window must be residual-checked.  Returns ``None`` for
-        patterns the batch kernels cannot evaluate."""
+        bisect/set probe instead of node-at-a-time dispatch.  Residual
+        predicates cost what they cost everywhere (the batch
+        post-filter re-enters the reference evaluator per candidate).
+        Returns ``None`` for patterns the batch kernels cannot
+        evaluate."""
         from repro.physical.columnar import columnar_eligible
 
         if not columnar_eligible(pattern):
             return None
         pages = 0.0
-        cpu = 0.0
-        for vertex_id, vertex in pattern.vertices.items():
+        cpu = self._residual_cpu(pattern)
+        for vertex_id in pattern.vertices:
             if vertex_id == pattern.root:
                 continue
             count = self._vertex_posting_count(pattern, vertex_id)
             pages += self._posting_pages(count)
             cpu += 0.2 * count
-            if vertex.residual:
-                cpu += 50.0 * count * len(vertex.residual)
         return CostEstimate("columnar", pages=pages, cpu=cpu)
 
     def navigational_cost(self, pattern: PatternGraph) -> CostEstimate:
@@ -244,7 +257,7 @@ class CostModel:
         nodes = float(self.stats.node_count)
         return CostEstimate("navigational",
                             pages=max(1.0, nodes * 24 / _PAGE_BYTES),
-                            cpu=4.0 * nodes)
+                            cpu=4.0 * nodes + self._residual_cpu(pattern))
 
     def index_scan_cost(self, pattern: PatternGraph) -> CostEstimate:
         """Content-index driven: only meaningful when some vertex has an
@@ -275,7 +288,7 @@ class CostModel:
         height = max(1.0, math.log(max(self.stats.node_count, 2), 64))
         verification = hits * pattern.vertex_count()
         return CostEstimate("index-scan", pages=height + hits,
-                            cpu=verification)
+                            cpu=verification + self._residual_cpu(pattern))
 
     def _vertex_posting_count(self, pattern: PatternGraph,
                               vertex_id: int) -> float:

@@ -62,6 +62,7 @@ __all__ = [
     "SelectValue",
     "ValueJoin",
     "TreePatternMatch",
+    "guards_hold",
     "Construct",
     "operator_table",
     "storage_tag",
@@ -345,8 +346,9 @@ class TreePatternMatch(Operator):
     def _run(self, tree: model.Document, pattern: PatternGraph) -> NestedList:
         outputs = [v.vertex_id for v in pattern.output_vertices()]
         rows: list[tuple] = []
-        for binding in self._match(pattern, pattern.root, tree):
-            rows.append(tuple(binding.get(vid) for vid in outputs))
+        if guards_hold(pattern, tree, self._reference):
+            for binding in self._match(pattern, pattern.root, tree):
+                rows.append(tuple(binding.get(vid) for vid in outputs))
         unique: dict[tuple, tuple] = {}
         for row in rows:
             key = tuple(node.node_id for node in row)
@@ -420,6 +422,20 @@ class TreePatternMatch(Operator):
                     out.extend(owner.attributes())
             return out
         return list(node.descendants())
+
+
+def guards_hold(pattern: PatternGraph, node: model.Node,
+                evaluator: Optional[XPathEvaluator] = None) -> bool:
+    """Decide the pattern's context-free guards once, with ``node`` (the
+    τ input; absolute paths resolve to its document) as context.  False
+    means the pattern has no embedding, so no matcher needs to run.
+    The logical and every physical τ share this check."""
+    if not pattern.guards:
+        return True
+    evaluator = evaluator or XPathEvaluator()
+    context = Context(node)
+    return all(effective_boolean_value(evaluator.evaluate(guard, context))
+               for guard in pattern.guards)
 
 
 class Construct(Operator):

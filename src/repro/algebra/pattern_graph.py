@@ -6,8 +6,11 @@
 
 Vertices carry a label (a set of names, or * for any), an optional list of
 ``(op, literal)`` value comparisons, and possibly *residual* predicate
-expressions that are not expressible as graph constraints (positional
-predicates, ``or``, function calls) — those are re-checked post-matching.
+expressions that are not expressible as graph constraints (``or``,
+function calls) — those are re-checked per candidate node.  A predicate
+whose value does not depend on the candidate (``[//watch]``,
+``[//a = 'x']``) is instead a pattern-level *guard*: τ decides it once,
+against the document node, before any matching.
 
 Arcs are labelled with one of the relations in :data:`RELATIONS`:
 
@@ -110,6 +113,9 @@ class PatternGraph:
         self.edges: list[PatternEdge] = []
         self.root: Optional[int] = None
         self._children: dict[int, list[PatternEdge]] = {}
+        # Context-free predicate ASTs: every embedding needs all of them
+        # true, so τ evaluates each once per execution, not per node.
+        self.guards: tuple = ()
 
     # -- construction ---------------------------------------------------------
 
@@ -148,6 +154,9 @@ class PatternGraph:
         vertex = self.vertices[vertex_id]
         vertex.residual = vertex.residual + (expr,)
 
+    def add_guard(self, expr) -> None:
+        self.guards = self.guards + (expr,)
+
     # -- inspection ---------------------------------------------------------------
 
     def children_of(self, vertex_id: int) -> list[PatternEdge]:
@@ -174,10 +183,11 @@ class PatternGraph:
         """A stable text key for memoizing per-pattern planner decisions.
 
         Covers everything the cost model reads: vertex labels, kinds,
-        value constraints, residual *counts*, output/root marks, and the
-        edge list.  (Residual predicate bodies are not serialized — the
-        cost model only counts them — so two patterns differing solely in
-        residual ASTs intentionally share a signature.)  The string is
+        value constraints, residual and guard *counts*, output/root
+        marks, and the edge list.  (Predicate bodies are not serialized
+        — the cost model only counts them — so two patterns differing
+        solely in residual or guard ASTs intentionally share a
+        signature.)  The string is
         computed once and cached; pattern graphs are immutable after
         compilation.
         """
@@ -194,6 +204,7 @@ class PatternGraph:
                     f":{'R' if vertex.vertex_id == self.root else '-'}")
             for edge in self.edges:
                 parts.append(f"e{edge.source}-{edge.relation}-{edge.target}")
+            parts.append(f"g{len(self.guards)}")
             cached = ";".join(parts)
             self._signature = cached
         return cached
@@ -235,6 +246,7 @@ class PatternGraph:
                          f"{constraint_text}{suffix}")
         for edge in self.edges:
             lines.append(f"v{edge.source} -{edge.relation}-> v{edge.target}")
+        lines.extend(f"guard: {guard}" for guard in self.guards)
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -392,6 +404,11 @@ def _compile_predicate(graph: PatternGraph, vertex_id: int,
         raise UnsupportedPattern(
             f"predicate {predicate} is positional (or may evaluate to a "
             "number) and cannot be checked per node")
+    if _context_free(predicate):
+        # Same truth value for every candidate: an embedding exists only
+        # if it holds, so it is decided once per τ, not per node.
+        graph.add_guard(predicate)
+        return
     graph.add_residual(vertex_id, predicate)
 
 
@@ -426,6 +443,32 @@ def _residual_safe(expr) -> bool:
         return False  # arithmetic: numeric
     if isinstance(expr, xp.FunctionCall):
         return expr.name in _BOOLEAN_FUNCTIONS
+    return False
+
+
+def _context_free(expr) -> bool:
+    """Is the expression's value independent of the context node?
+
+    True for absolute paths, literals, ``true()``/``false()``, and
+    comparisons, ``and``/``or`` and boolean-function calls (with at
+    least one argument) built only from those.  Zero-argument context
+    functions (``string()``, ``name()``...), relative paths and
+    variable references all read the context, so they are not.
+    """
+    if _mentions_variables(expr):
+        return False
+    if isinstance(expr, xp.LocationPath):
+        return expr.absolute
+    if isinstance(expr, xp.Literal):
+        return True
+    if isinstance(expr, xp.BinaryOp):
+        return (expr.op in _COMPARISON_OPS + ("and", "or")
+                and _context_free(expr.left) and _context_free(expr.right))
+    if isinstance(expr, xp.FunctionCall):
+        if expr.name in ("true", "false"):
+            return not expr.args
+        return (expr.name in _BOOLEAN_FUNCTIONS and bool(expr.args)
+                and all(_context_free(arg) for arg in expr.args))
     return False
 
 

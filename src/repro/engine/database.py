@@ -166,7 +166,7 @@ class DocumentVersion:
     # cache entry can never be served across a version swap.
     version_id: int = 0
     # (pattern signature, statistics generation, columnar mode)
-    # -> chosen strategy.
+    # -> chosen strategy; an LRU of at most MEMO_CAPACITY entries.
     strategy_memo: dict = field(default_factory=dict)
     # Guards strategy_memo: concurrent readers memoize choices for the
     # same hot pattern (see PhysicalPlanner).
@@ -498,22 +498,14 @@ class Database:
                 succinct.content, parts["numericindex"],
                 segment=self.pages.segment(f"numeric-btree:{uri}"))
             tree, node_list = materialise_tree(interval, uri)
-            document = DocumentVersion(
+            documents[uri] = self._new_version(
                 uri=uri, tree=tree, succinct=succinct, interval=interval,
                 tag_index=tag_index, statistics=statistics,
                 value_index=value_index, numeric_index=numeric_index,
-                runtime=None,  # type: ignore[arg-type]
                 node_list=node_list,
                 preorder_map={node.node_id: pre for pre, node
                               in enumerate(node_list)},
-                generation=header["generation"],
-                version_id=self._next_version_id())
-            document.runtime = MatchRuntime(
-                succinct, interval, tag_index, pages=self.pages,
-                residual_check=self._residual_checker(document),
-                value_index=value_index, numeric_index=numeric_index,
-                statistics=statistics)
-            documents[uri] = document
+                generation=header["generation"])
         self._publish(documents, state["default_uri"],
                       state["load_epoch"])
 
@@ -618,18 +610,11 @@ class Database:
                                                                uri)
         node_list = storage_node_list(tree)
         preorder_map = storage_preorder_map(tree)
-        document = DocumentVersion(
+        document = self._new_version(
             uri=uri, tree=tree, succinct=succinct, interval=interval,
             tag_index=tag_index, statistics=statistics,
             value_index=value_index, numeric_index=numeric_index,
-            runtime=None,  # type: ignore[arg-type]
-            node_list=node_list, preorder_map=preorder_map,
-            version_id=self._next_version_id())
-        document.runtime = MatchRuntime(
-            succinct, interval, tag_index, pages=self.pages,
-            residual_check=self._residual_checker(document),
-            value_index=value_index, numeric_index=numeric_index,
-            statistics=statistics)
+            node_list=node_list, preorder_map=preorder_map)
         snapshot = self._snapshot
         documents = dict(snapshot.documents)
         documents[uri] = document
@@ -654,6 +639,21 @@ class Database:
             succinct.content, numeric=True,
             segment=self.pages.segment(f"numeric-btree:{uri}"))
         return value_index, numeric_index
+
+    def _new_version(self, **fields) -> DocumentVersion:
+        """A :class:`DocumentVersion` over ``fields`` with a fresh
+        version id and its :class:`MatchRuntime` attached."""
+        version = DocumentVersion(
+            runtime=None,  # type: ignore[arg-type]
+            version_id=self._next_version_id(), **fields)
+        version.runtime = MatchRuntime(
+            version.succinct, version.interval, version.tag_index,
+            pages=self.pages,
+            residual_check=self._residual_checker(version),
+            value_index=version.value_index,
+            numeric_index=version.numeric_index,
+            statistics=version.statistics)
+        return version
 
     def _residual_checker(self, document: LoadedDocument):
         from repro.xpath.semantics import XPathEvaluator
@@ -1451,22 +1451,14 @@ class Database:
             succinct.content, base.numeric_index.to_snapshot(),
             segment=self.pages.segment(f"numeric-btree:{uri}"))
         tree, node_list = materialise_tree(interval, uri)
-        version = DocumentVersion(
+        return self._new_version(
             uri=uri, tree=tree, succinct=succinct, interval=interval,
             tag_index=tag_index, statistics=statistics,
             value_index=value_index, numeric_index=numeric_index,
-            runtime=None,  # type: ignore[arg-type]
             node_list=node_list,
             preorder_map={node.node_id: pre for pre, node
                           in enumerate(node_list)},
-            generation=base.generation,
-            version_id=self._next_version_id())
-        version.runtime = MatchRuntime(
-            succinct, interval, tag_index, pages=self.pages,
-            residual_check=self._residual_checker(version),
-            value_index=value_index, numeric_index=numeric_index,
-            statistics=statistics)
-        return version
+            generation=base.generation)
 
     # -- incremental derived maintenance ------------------------------------------
 
@@ -1547,21 +1539,14 @@ class Database:
         tag_index = TagIndex(base.interval, pages=self.pages)
         value_index, numeric_index = self._build_value_indexes(
             base.succinct, base.uri)
-        version = DocumentVersion(
+        version = self._new_version(
             uri=base.uri, tree=base.tree, succinct=base.succinct,
             interval=base.interval, tag_index=tag_index,
             statistics=statistics, value_index=value_index,
             numeric_index=numeric_index,
-            runtime=None,  # type: ignore[arg-type]
             node_list=storage_node_list(base.tree),
             preorder_map=storage_preorder_map(base.tree),
-            generation=base.generation + 1,
-            version_id=self._next_version_id())
-        version.runtime = MatchRuntime(
-            base.succinct, base.interval, tag_index, pages=self.pages,
-            residual_check=self._residual_checker(version),
-            value_index=value_index, numeric_index=numeric_index,
-            statistics=statistics)
+            generation=base.generation + 1)
         self._publish_version(version)
         return version
 

@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.errors import ExecutionError, QueryTimeoutError
 from repro.xml import model
+from repro.algebra.operators import guards_hold
 from repro.algebra.plan import (
     ExecutionContext,
     PlanNode,
@@ -110,7 +111,11 @@ class PhysicalExecutionContext(ExecutionContext):
     # -- physical tau ------------------------------------------------------------
 
     def run_tau(self, plan: Tau) -> list:
-        """Execute a τ over the loaded storage; returns model nodes."""
+        """Execute a τ over the loaded storage; returns model nodes.
+
+        The pattern's guards are decided first, once, against the
+        document; if one is false the result is empty and no matcher
+        runs."""
         self.check_deadline()
         scan = plan.inputs[0]
         if not isinstance(scan, Scan):
@@ -139,7 +144,15 @@ class PhysicalExecutionContext(ExecutionContext):
             io_before = self.database.pages.thread_snapshot()
             tau_started = time.perf_counter()
         with span:
-            if len(outputs) == 1:
+            held = guards_hold(plan.pattern, tree)
+            if not held:
+                # A false guard leaves no embedding: no matcher runs,
+                # and the query is labelled with the planner's choice.
+                matches, stats = [], OperatorStats()
+                used = ("nok" if len(outputs) != 1
+                        else self.strategy if self.strategy != "auto"
+                        else planner.choose(plan.pattern))
+            elif len(outputs) == 1:
                 matches, stats, used = planner.match(
                     plan.pattern, loaded.runtime, root=0,
                     strategy=self.strategy)
@@ -149,6 +162,8 @@ class PhysicalExecutionContext(ExecutionContext):
                 matches = sorted({node for binding in bindings
                                   for node in binding.values()})
                 used = "nok"
+            if plan.pattern.guards:
+                stats.note("guards.held", int(held))
             if span.is_recording:
                 span.set(strategy=used, rows=len(matches),
                          pattern=_tau_label(plan.pattern))

@@ -209,12 +209,14 @@ class NoKMatcher:
         text runs merge; whitespace-only runs are skipped unless
         ``keep_whitespace``) so streaming and storage results align.
 
-        Residual predicates are unsupported here (they need the engine's
-        document); value constraints are checked against buffered text.
+        Residual predicates and guards are unsupported here (they need
+        the engine's document); value constraints are checked against
+        buffered text.
         """
-        if self.pattern.has_residuals():
+        if self.pattern.has_residuals() or self.pattern.guards:
             raise ExecutionError(
-                "streaming evaluation cannot check residual predicates")
+                "streaming evaluation cannot check residual predicates "
+                "or guards")
         pattern = self.pattern
         stack: list[_Frame] = []
         results: list[dict] = []

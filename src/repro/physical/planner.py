@@ -25,6 +25,7 @@ plans it (an explicit ``strategy="columnar"`` request still runs it).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
 
 from repro.errors import ExecutionError, PlanError
@@ -40,13 +41,19 @@ from repro.physical.pathstack import PathStackJoin
 from repro.physical.structural_join import BinaryJoinMatcher
 from repro.physical.twigstack import TwigStackJoin
 
-__all__ = ["PhysicalPlanner", "STRATEGIES", "COLUMNAR_MODES"]
+__all__ = ["PhysicalPlanner", "STRATEGIES", "COLUMNAR_MODES",
+           "MEMO_CAPACITY"]
 
 STRATEGIES = ("nok", "partitioned", "structural-join", "pathstack",
               "twigstack", "navigational", "index-scan", "columnar",
               "auto")
 
 COLUMNAR_MODES = ("auto", "on", "off")
+
+# Most choices a strategy memo keeps.  Signatures carry literal values,
+# so never-repeating ad-hoc texts would otherwise grow it without end;
+# the least recently used choice is dropped first.
+MEMO_CAPACITY = 1024
 
 
 class PhysicalPlanner:
@@ -60,6 +67,10 @@ class PhysicalPlanner:
     keeps one per document *version* — successor versions start fresh,
     so a memo can never leak across an MVCC publish) and survives
     planner instances.
+
+    The memo is an LRU bounded at :data:`MEMO_CAPACITY` entries (a
+    plain dict kept in recency order: a hit re-inserts its key, an
+    overflowing put drops the oldest).
 
     ``memo_lock`` (optional) guards the memo dict: concurrent reader
     threads executing the same hot pattern read and fill it
@@ -82,17 +93,20 @@ class PhysicalPlanner:
         self.memo_misses = 0
 
     def _memo_get(self, memo_key: tuple) -> Optional[str]:
-        if self.memo_lock is not None:
-            with self.memo_lock:
-                return self.choice_memo.get(memo_key)
-        return self.choice_memo.get(memo_key)
+        with self.memo_lock or nullcontext():
+            memo = self.choice_memo
+            choice = memo.pop(memo_key, None)
+            if choice is not None:
+                memo[memo_key] = choice  # most recently used goes last
+            return choice
 
     def _memo_put(self, memo_key: tuple, choice: str) -> None:
-        if self.memo_lock is not None:
-            with self.memo_lock:
-                self.choice_memo[memo_key] = choice
-        else:
-            self.choice_memo[memo_key] = choice
+        with self.memo_lock or nullcontext():
+            memo = self.choice_memo
+            memo.pop(memo_key, None)
+            memo[memo_key] = choice
+            if len(memo) > MEMO_CAPACITY:
+                del memo[next(iter(memo))]
 
     def _memo_key(self, pattern: PatternGraph) -> Optional[tuple]:
         if self.choice_memo is None:
@@ -138,6 +152,8 @@ class PhysicalPlanner:
 
         Output is the distinct pre-order ids of the single output vertex
         (multi-output patterns run through NoK/partitioned only).
+        Pattern guards are not checked here: the caller decides them
+        first (:func:`repro.algebra.operators.guards_hold`).
         """
         if strategy not in STRATEGIES:
             raise PlanError(f"unknown strategy {strategy!r}")
@@ -164,7 +180,8 @@ class PhysicalPlanner:
     def match_bindings(self, pattern: PatternGraph, runtime: MatchRuntime,
                        root: int = 0) -> tuple[list[dict], OperatorStats]:
         """Full output-vertex bindings (tuples) — always via the NoK
-        machinery, which natively produces them."""
+        machinery, which natively produces them.  Guards are the
+        caller's, as in :meth:`match`."""
         if pattern.is_nok():
             matcher = NoKMatcher(pattern, anchored=True)
             bindings = matcher.run(runtime, root=root)

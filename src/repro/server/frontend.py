@@ -448,6 +448,12 @@ class ServerFrontend:
     def _close_listener(self) -> None:
         listener, self._listener = self._listener, None
         if listener is not None:
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() makes that accept() fail at once.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

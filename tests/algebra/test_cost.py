@@ -87,3 +87,31 @@ class TestStrategyChoice:
         for estimate in model_.all_costs(pattern("//book/author")):
             assert estimate.pages > 0
             assert estimate.cpu >= 0
+
+
+class TestResidualPricing:
+    """Every strategy pays the reference evaluator once per candidate of
+    a residual vertex, so no estimate ignores residual work."""
+
+    @pytest.mark.parametrize("prefix", ["/bib/book", "//book"])
+    def test_every_estimate_grows_with_residual_count(self, model_, prefix):
+        texts = [f"{prefix}[title = 'Title 3']{extra}/author"
+                 for extra in ("", "[author or @year]",
+                               "[author or @year][not(title)]")]
+        patterns = [pattern(text) for text in texts]
+        assert [sum(len(v.residual) for v in p.vertices.values())
+                for p in patterns] == [0, 1, 2]
+        costs = [{e.strategy: e for e in
+                  model_.all_costs(p, include_columnar=True)}
+                 for p in patterns]
+        assert set(costs[0]) == set(costs[1]) == set(costs[2])
+        assert "index-scan" in costs[0] and "columnar" in costs[0]
+        for strategy in costs[0]:
+            cpu = [by_strategy[strategy].cpu for by_strategy in costs]
+            assert cpu[0] < cpu[1] < cpu[2], strategy
+
+    def test_guards_are_not_priced_per_candidate(self, model_):
+        plain = pattern("//book[title = 'Title 3']/author")
+        guarded = pattern("//book[title = 'Title 3'][//author]/author")
+        assert model_.all_costs(guarded, include_columnar=True) == \
+            model_.all_costs(plain, include_columnar=True)

@@ -71,6 +71,12 @@ class TestStreamingEqualsStorage:
         with pytest.raises(ExecutionError):
             NoKMatcher(pattern).run_stream(iterparse(SAMPLE.strip()))
 
+    def test_streaming_rejects_guards(self):
+        pattern = compile_path(parse_xpath("/bib/book[//title]"))
+        assert pattern.guards and not pattern.has_residuals()
+        with pytest.raises(ExecutionError):
+            NoKMatcher(pattern).run_stream(iterparse(SAMPLE.strip()))
+
     def test_streaming_value_constraint_on_attribute(self):
         matches = stream_matches("/bib/book[@year = '2000']/title")
         assert len(matches) == 1

@@ -350,3 +350,20 @@ class TestDrain:
             assert second.recv(1) == b""  # closed by the limit
             first.close()
             second.close()
+
+
+class TestStop:
+    def test_stop_is_prompt_and_joins_the_acceptor(self):
+        """Closing the listener alone leaves accept() blocked on Linux;
+        stop() must wake it instead of waiting out its join timeout."""
+        database = Database()
+        database.load("<a><b/></a>", uri="a.xml")
+        frontend = make_inline(database).start()
+        with ServerClient(*frontend.address) as client:
+            assert client.query("/a/b")
+        acceptor = frontend._acceptor
+        started = time.monotonic()
+        frontend.stop()
+        assert time.monotonic() - started < 0.5
+        assert not acceptor.is_alive()
+        assert frontend._acceptor is None
